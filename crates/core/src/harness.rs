@@ -420,7 +420,9 @@ impl Harness {
         let mut events: Vec<(Seconds, Event)> = Vec::new();
         let record = self.protocol.record_trace;
         // One report reused for every step of the iteration: with
-        // `Device::step_into` this keeps the steady-state loop off the heap.
+        // `Device::step_into`, and trace samples built only when
+        // `record_trace` is on, an untraced iteration's step loop never
+        // touches the heap.
         let mut report = StepReport::empty();
 
         // --- Warmup: wakelock held, all cores busy. ---
@@ -521,8 +523,8 @@ impl Harness {
             if self.ambient.in_band() {
                 band_time += dt.value();
             }
-            let sample = report.to_sample(t);
             if record {
+                let sample = report.to_sample(t);
                 full_trace.push(sample.clone());
                 workload_trace.push(sample);
             }
@@ -661,6 +663,7 @@ mod tests {
     use pv_soc::catalog;
     use pv_soc::device::Device;
     use pv_soc::faulty::FaultyDevice;
+    use pv_thermal::network::Integrator;
     use pv_units::{MegaHertz, TempDelta};
 
     /// Shortened protocol so unit tests stay fast; the integration tests
@@ -765,6 +768,40 @@ mod tests {
             (d - (40.0 + it.cooldown_duration.value() + 60.0)).abs() < 1.0,
             "trace duration {d}"
         );
+    }
+
+    /// Recording a trace only observes the session: with `record_trace` on
+    /// and off, every iteration statistic matches bit for bit (compared
+    /// through `Debug`, which tells -0.0 from 0.0). The traces differ by
+    /// definition, and so does `peak_temp`, which is the trace's peak when
+    /// one is recorded and the end-of-iteration die temperature otherwise.
+    #[test]
+    fn recording_a_trace_leaves_iteration_statistics_unchanged() {
+        for integrator in [Integrator::Euler, Integrator::Exponential] {
+            let run = |protocol: Protocol| {
+                let mut device = catalog::nexus5(BinId(4)).unwrap();
+                let mut harness = Harness::new(
+                    protocol.with_integrator(integrator),
+                    Ambient::paper_chamber().unwrap(),
+                )
+                .unwrap();
+                harness.run_session(&mut device, 3).unwrap()
+            };
+            let plain = run(quick(None));
+            let traced = run(quick(None).with_trace());
+            assert_eq!(plain.verdict, traced.verdict);
+            assert_eq!(plain.iterations.len(), traced.iterations.len());
+            for (p, t) in plain.iterations.iter().zip(&traced.iterations) {
+                assert!(!t.workload_trace.is_empty() && p.workload_trace.is_empty());
+                let stripped = Iteration {
+                    full_trace: Trace::new(),
+                    workload_trace: Trace::new(),
+                    peak_temp: p.peak_temp,
+                    ..t.clone()
+                };
+                assert_eq!(format!("{p:?}"), format!("{stripped:?}"), "{integrator}");
+            }
+        }
     }
 
     #[test]

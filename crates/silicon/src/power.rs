@@ -153,11 +153,48 @@ impl PowerParams {
         temp: Celsius,
         powered_cores: f64,
     ) -> Watts {
-        let cores = powered_cores.max(0.0);
+        self.leakage_from_factors(
+            die,
+            self.leakage_voltage_factor(v),
+            self.leakage_temp_factor(temp),
+            powered_cores,
+        )
+    }
+
+    /// The leakage law's voltage factor `(V/V₀)^γ`. A pure function of `v`,
+    /// so a caller stepping at a fixed rail voltage may memoise it.
+    pub fn leakage_voltage_factor(&self, v: Volts) -> f64 {
+        (v.value() / self.v_ref.value()).powf(self.leak_voltage_exp)
+    }
+
+    /// The leakage law's temperature factor `exp(β·(T − T₀))`, with `T`
+    /// clamped as in [`PowerParams::leakage_power`]. Clusters for which
+    /// [`PowerParams::shares_temp_law`] holds get the same bits from it.
+    pub fn leakage_temp_factor(&self, temp: Celsius) -> f64 {
         let t = temp.clamp(Celsius(-40.0), Celsius(150.0));
-        let v_term = (v.value() / self.v_ref.value()).powf(self.leak_voltage_exp);
-        let t_term = (self.leak_temp_coeff * (t - self.t_ref).value()).exp();
-        self.leak_per_core * (cores * die.leakage_multiplier() * v_term * t_term)
+        (self.leak_temp_coeff * (t - self.t_ref).value()).exp()
+    }
+
+    /// Leakage power from precomputed factors:
+    /// `leakage_power(die, v, T, n)` is exactly
+    /// `leakage_from_factors(die, leakage_voltage_factor(v),
+    /// leakage_temp_factor(T), n)`, bit for bit.
+    pub fn leakage_from_factors(
+        &self,
+        die: &DieSample,
+        voltage_factor: f64,
+        temp_factor: f64,
+        powered_cores: f64,
+    ) -> Watts {
+        let cores = powered_cores.max(0.0);
+        self.leak_per_core * (cores * die.leakage_multiplier() * voltage_factor * temp_factor)
+    }
+
+    /// Whether `other` has the same leakage temperature law (β and T₀, bit
+    /// for bit), so one [`PowerParams::leakage_temp_factor`] serves both.
+    pub fn shares_temp_law(&self, other: &PowerParams) -> bool {
+        self.leak_temp_coeff.to_bits() == other.leak_temp_coeff.to_bits()
+            && self.t_ref.value().to_bits() == other.t_ref.value().to_bits()
     }
 
     /// Total cluster power: dynamic + leakage.
@@ -288,6 +325,43 @@ mod tests {
         let total = p.total_power(&die, v, f, t, 4.0, 4.0);
         let sum = p.dynamic_power(v, f, 4.0) + p.leakage_power(&die, v, t, 4.0);
         assert!((total / sum - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn factored_leakage_matches_the_single_expression() {
+        let p = params();
+        let die = nominal_die();
+        for v in [0.6, 0.9, 1.0625, 1.2] {
+            for t in [-60.0, 26.0, 47.3, 91.25, 200.0] {
+                for cores in [-1.0, 0.0, 1.0, 3.0, 4.0] {
+                    // The law as one expression, the way it was written
+                    // before the factors were split out.
+                    let tc = Celsius(t).clamp(Celsius(-40.0), Celsius(150.0));
+                    let v_term = (v / p.v_ref.value()).powf(p.leak_voltage_exp);
+                    let t_term = (p.leak_temp_coeff * (tc - p.t_ref).value()).exp();
+                    let want = p.leak_per_core
+                        * (f64::max(cores, 0.0) * die.leakage_multiplier() * v_term * t_term);
+                    let got = p.leakage_power(&die, Volts(v), Celsius(t), cores);
+                    assert_eq!(got.value().to_bits(), want.value().to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_temp_law_means_shared_factor_bits() {
+        let a = params();
+        let b =
+            PowerParams::new(0.3e-9, Watts(0.05), Volts(0.8), Celsius(26.0), 3.0, 0.025).unwrap();
+        let c =
+            PowerParams::new(0.3e-9, Watts(0.05), Volts(0.8), Celsius(25.0), 3.0, 0.025).unwrap();
+        assert!(a.shares_temp_law(&b));
+        assert!(!a.shares_temp_law(&c));
+        let t = Celsius(63.7);
+        assert_eq!(
+            a.leakage_temp_factor(t).to_bits(),
+            b.leakage_temp_factor(t).to_bits()
+        );
     }
 
     #[test]

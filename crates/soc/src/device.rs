@@ -21,6 +21,7 @@ use crate::SocError;
 use core::fmt;
 use pv_power::PowerSupply;
 use pv_silicon::binning::{voltage_bin_table, VfTable};
+use pv_silicon::power::PowerParams;
 use pv_silicon::DieSample;
 use pv_thermal::network::{Integrator, NodeId, ThermalNetwork, ThermalNetworkBuilder};
 use pv_thermal::probe::Probe;
@@ -37,8 +38,9 @@ const POWER_CACHE_TEMP_QUANTUM: f64 = 0.1;
 /// points. Steady states touch a handful; throttle ladders a few dozen.
 const POWER_CACHE_CAP: usize = 64;
 
-/// Per-cluster cap on memoised governor-target → OPP resolutions.
-const OPP_MEMO_CAP: usize = 16;
+/// Key of an empty memo slot: a NaN bit pattern that no finite governor
+/// target or rail voltage has.
+const EMPTY_KEY: u64 = u64::MAX;
 
 /// What the CPU cores are asked to do this step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -183,20 +185,77 @@ pub struct Device {
     supply: Box<dyn PowerSupply>,
     last_supply_voltage: Volts,
     time: Seconds,
-    /// True iff the network runs [`Integrator::Exponential`]. Gates the OPP
-    /// memo and power cache so the Euler/RK4 reference paths stay
-    /// bit-identical to the original implementation.
+    /// True iff the network runs [`Integrator::Exponential`]. Gates the
+    /// quantised-temperature power cache, the one device-level cache that
+    /// changes arithmetic; the exact memos in [`ClusterMemo`] run on every
+    /// integrator.
     fast_path: bool,
-    /// Per-cluster governor-target → (ladder frequency, nominal voltage)
-    /// memo, keyed on the target's bit pattern (fast path only).
-    opp_memo: Vec<Vec<(u64, MegaHertz, Volts)>>,
-    /// Per-cluster power cache keyed on (frequency, quantised-temperature
-    /// bin, powered cores, utilisation); values are the trimmed rail
-    /// voltage and modelled power computed *at the quantised temperature*,
-    /// so a hit is bit-identical to recomputing (fast path only). The
-    /// temperature bin in the key is what invalidates RBCPR trims when the
-    /// die moves: a new bin is a miss and an exact recompute.
-    power_cache: Vec<Vec<(PowerKey, Volts, Watts)>>,
+    /// Every cluster has the same leakage temperature law (β, T₀) as
+    /// cluster 0, so the reference path evaluates `exp(β(T−T₀))` once per
+    /// step instead of once per cluster. True for every catalog device.
+    shared_temp_law: bool,
+    /// Per-cluster memos, one element per cluster.
+    memo: Vec<ClusterMemo>,
+}
+
+/// One cluster's memoised step inputs. The OPP memo and the leakage
+/// voltage factor are pure functions of their keys, so a hit returns the
+/// bits a recompute would. Each keeps only the last key seen: governor
+/// targets take a handful of discrete values (top frequency, throttle
+/// caps, the idle floor) and change only on throttle or phase transitions,
+/// and a miss costs no more than recomputing. One entry each keeps this
+/// block at 64 bytes on 64-bit targets, so a fleet of thousands of built
+/// devices does not grow the process's peak memory.
+#[derive(Debug, Clone)]
+struct ClusterMemo {
+    /// Governor-target bits → (ladder frequency, nominal voltage). Valid
+    /// for the device's lifetime: the ladder is fixed at build.
+    opp: (u64, MegaHertz, Volts),
+    /// Rail-voltage bits → leakage voltage factor `(V/V₀)^γ` (reference
+    /// path; static-table rails change only with the OPP).
+    voltage_factor: (u64, f64),
+    /// Power cache keyed on (frequency, quantised-temperature bin, powered
+    /// cores, utilisation); values are the trimmed rail voltage and
+    /// modelled power computed *at the quantised temperature*, so a hit is
+    /// bit-identical to recomputing (fast path only). The temperature bin
+    /// in the key is what invalidates RBCPR trims when the die moves: a new
+    /// bin is a miss and an exact recompute.
+    power: Vec<(PowerKey, Volts, Watts)>,
+}
+
+impl ClusterMemo {
+    const EMPTY: ClusterMemo = ClusterMemo {
+        opp: (EMPTY_KEY, MegaHertz(0.0), Volts(0.0)),
+        voltage_factor: (EMPTY_KEY, 0.0),
+        power: Vec::new(),
+    };
+
+    fn clear(&mut self) {
+        self.opp = Self::EMPTY.opp;
+        self.voltage_factor = Self::EMPTY.voltage_factor;
+        self.power.clear();
+    }
+
+    /// OPP resolution for `target`: ladder snap + nominal voltage.
+    fn opp(&mut self, table: &VfTable, target: MegaHertz) -> (MegaHertz, Volts) {
+        let bits = target.value().to_bits();
+        if self.opp.0 != bits {
+            let f = table
+                .highest_freq_at_or_below(target)
+                .unwrap_or_else(|| table.min_freq());
+            self.opp = (bits, f, table.voltage_at(f));
+        }
+        (self.opp.1, self.opp.2)
+    }
+
+    /// The leakage voltage factor of `params` at rail voltage `v`.
+    fn voltage_factor(&mut self, params: &PowerParams, v: Volts) -> f64 {
+        let bits = v.value().to_bits();
+        if self.voltage_factor.0 != bits {
+            self.voltage_factor = (bits, params.leakage_voltage_factor(v));
+        }
+        self.voltage_factor.1
+    }
 }
 
 /// Operating-point key for the fast-path power cache.
@@ -265,6 +324,12 @@ impl Device {
         let last_supply_voltage = supply.terminal_voltage(spec.idle_power);
 
         let n_clusters = spec.soc.clusters.len();
+        let first_law = &spec.soc.clusters[0].power;
+        let shared_temp_law = spec
+            .soc
+            .clusters
+            .iter()
+            .all(|c| c.power.shares_temp_law(first_law));
         Ok(Self {
             spec,
             die,
@@ -281,8 +346,8 @@ impl Device {
             last_supply_voltage,
             time: Seconds::ZERO,
             fast_path: false,
-            opp_memo: vec![Vec::new(); n_clusters],
-            power_cache: vec![Vec::new(); n_clusters],
+            shared_temp_law,
+            memo: vec![ClusterMemo::EMPTY; n_clusters],
         })
     }
 
@@ -292,18 +357,17 @@ impl Device {
     }
 
     /// Selects the thermal integration scheme. [`Integrator::Exponential`]
-    /// additionally enables the device-level fast path (OPP memoisation and
-    /// the quantised-temperature power cache); Euler/RK4 run the original
-    /// reference arithmetic bit-for-bit. Caches are cleared on every
-    /// switch, so alternating schemes cannot leak stale entries.
+    /// additionally enables the device-level fast path, the
+    /// quantised-temperature power cache; Euler/RK4 run the reference
+    /// arithmetic at the exact die temperature. The OPP memo and the
+    /// leakage voltage-factor memo are exact and run on every integrator.
+    /// Every call clears all of them, so alternating schemes cannot leak
+    /// stale entries (and re-selecting the same scheme forces misses).
     pub fn set_integrator(&mut self, integrator: Integrator) {
         self.network.set_integrator(integrator);
         self.fast_path = integrator == Integrator::Exponential;
-        for m in &mut self.opp_memo {
+        for m in &mut self.memo {
             m.clear();
-        }
-        for c in &mut self.power_cache {
-            c.clear();
         }
     }
 
@@ -485,6 +549,9 @@ impl Device {
         } else {
             die_temp
         };
+        // Reference path: `exp(β(T−T₀))` of the current cluster's law,
+        // carried over from cluster 0 when the laws are shared.
+        let mut temp_factor = 0.0;
 
         for ci in 0..n_clusters {
             let cluster = &self.spec.soc.clusters[ci];
@@ -509,29 +576,9 @@ impl Device {
             }
 
             // OPP resolution: ladder snap + nominal voltage, memoised per
-            // target on the fast path (the ladder is fixed per device).
-            let freq = if self.fast_path {
-                let memo = &mut self.opp_memo[ci];
-                let bits = target.value().to_bits();
-                if let Some(pos) = memo.iter().position(|e| e.0 == bits) {
-                    let hit = memo[pos];
-                    if pos != 0 {
-                        memo.swap(pos, pos - 1);
-                    }
-                    hit.1
-                } else {
-                    let f = table
-                        .highest_freq_at_or_below(target)
-                        .unwrap_or_else(|| table.min_freq());
-                    memo.truncate(OPP_MEMO_CAP - 1);
-                    memo.insert(0, (bits, f, table.voltage_at(f)));
-                    f
-                }
-            } else {
-                table
-                    .highest_freq_at_or_below(target)
-                    .unwrap_or_else(|| table.min_freq())
-            };
+            // target (the ladder is fixed per device).
+            let memo = &mut self.memo[ci];
+            let (freq, nominal_v) = memo.opp(table, target);
 
             // Hotplug floor.
             let mut cores = cluster.cores;
@@ -557,7 +604,7 @@ impl Device {
                     powered_bits: powered.to_bits(),
                     util_bits: util.to_bits(),
                 };
-                let cache = &mut self.power_cache[ci];
+                let cache = &mut memo.power;
                 if let Some(pos) = cache.iter().position(|e| e.0 == key) {
                     let hit = cache[pos];
                     if pos != 0 {
@@ -565,7 +612,6 @@ impl Device {
                     }
                     (hit.1, hit.2)
                 } else {
-                    let nominal_v = table.voltage_at(freq);
                     let v = match &self.spec.voltage_scheme {
                         VoltageScheme::StaticTable => nominal_v,
                         VoltageScheme::Rbcpr(rb) => rb.trim(nominal_v, &self.die, power_temp),
@@ -583,19 +629,22 @@ impl Device {
                     (v, p)
                 }
             } else {
-                let nominal_v = table.voltage_at(freq);
                 let v = match &self.spec.voltage_scheme {
                     VoltageScheme::StaticTable => nominal_v,
                     VoltageScheme::Rbcpr(rb) => rb.trim(nominal_v, &self.die, die_temp),
                 };
-                let p = cluster.power.total_power(
-                    &self.die,
-                    v,
-                    freq,
-                    die_temp,
-                    powered * util,
-                    powered,
-                );
+                // `total_power` composed from its memoised leakage factors.
+                if ci == 0 || !self.shared_temp_law {
+                    temp_factor = cluster.power.leakage_temp_factor(die_temp);
+                }
+                let voltage_factor = memo.voltage_factor(&cluster.power, v);
+                let p = cluster.power.dynamic_power(v, freq, powered * util)
+                    + cluster.power.leakage_from_factors(
+                        &self.die,
+                        voltage_factor,
+                        temp_factor,
+                        powered,
+                    );
                 (v, p)
             };
             core_power += power;

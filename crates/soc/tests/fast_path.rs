@@ -1,14 +1,15 @@
-//! Bit-identity tests for the device-level fast path: the OPP memo and
-//! the quantised-temperature power cache must be pure lookups — a cache
-//! hit has to reproduce, bit for bit, what an exact recompute at the
-//! quantised temperature would produce.
+//! Bit-identity tests for the device-level memos and caches: the OPP memo
+//! and the leakage voltage-factor memo (every integrator) and the
+//! quantised-temperature power cache (fast path) must be pure lookups — a
+//! hit has to reproduce, bit for bit, what an exact recompute would
+//! produce.
 //!
-//! The trick: [`pv_soc::device::Device::set_integrator`] clears both
-//! caches on every call. Stepping a twin device that re-selects the
-//! integrator before *every* step forces a cache miss (and therefore an
-//! exact recompute) at each step, while the device under test runs with
-//! warm caches. Identical telemetry across the whole trajectory proves
-//! hits and recomputes are interchangeable.
+//! The trick: [`pv_soc::device::Device::set_integrator`] clears every memo
+//! and cache on every call. Stepping a twin device that re-selects the
+//! integrator before *every* step forces a miss (and therefore an exact
+//! recompute) at each step, while the device under test runs with warm
+//! memos. Identical telemetry across the whole trajectory proves hits and
+//! recomputes are interchangeable.
 
 use pv_soc::catalog;
 use pv_soc::device::{CpuDemand, Device, FrequencyMode, StepReport};
@@ -77,6 +78,82 @@ fn assert_reports_bit_identical(a: &StepReport, b: &StepReport, step: usize) {
         "cores diverged at step {step}"
     );
     assert_eq!(a.throttled, b.throttled, "throttle diverged at step {step}");
+    for (what, x, y) in [
+        (
+            "supply power",
+            a.supply_power.value(),
+            b.supply_power.value(),
+        ),
+        ("case temperature", a.case_temp.value(), b.case_temp.value()),
+        ("work", a.work_cycles, b.work_cycles),
+    ] {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what} diverged at step {step}");
+    }
+}
+
+/// Builds one fresh unit; twins are two calls.
+type MakeDevice = fn() -> Device;
+
+/// One unit of every catalog model, plus the LG G5 on a Monsoon at its
+/// nominal 3.85 V so the input-voltage cap engages (Fig 10).
+fn catalog_units() -> Vec<(&'static str, MakeDevice)> {
+    use pv_silicon::binning::BinId;
+    vec![
+        ("nexus5 bin 0", || catalog::nexus5(BinId(0)).unwrap()),
+        ("nexus5 bin 6", || catalog::nexus5(BinId(6)).unwrap()),
+        ("nexus6", || catalog::nexus6(0.7, "twin").unwrap()),
+        ("nexus6p", || catalog::nexus6p(0.8, "twin").unwrap()),
+        ("lg g5", || catalog::lg_g5(0.6, "twin").unwrap()),
+        ("lg g5 @3.85 V", || {
+            catalog::lg_g5_at_voltage(0.6, "twin", pv_units::Volts(3.85)).unwrap()
+        }),
+        ("pixel", || catalog::pixel(0.3, "twin").unwrap()),
+        ("pixel2", || catalog::pixel2(0.5, "twin").unwrap()),
+    ]
+}
+
+/// Warm-memo vs forced-miss twins for every catalog device on every
+/// integrator (Euler and RK4 exercise the exact memos alone, Exponential
+/// adds the power cache). The trajectory heats the devices into their
+/// throttle ladders (and the Nexus 5 / 6 / 6P hotplug rules), cools them,
+/// then steps through fixed-frequency pins, so the OPP memo sees new,
+/// repeated and alternating targets and the voltage-factor memo sees every
+/// rail change. The test also checks that the trajectory did reach
+/// throttling, hotplug and more than one pinned frequency.
+#[test]
+fn memos_bit_identical_to_forced_recompute_on_every_device() {
+    let mut throttled = 0usize;
+    let mut hotplugged = 0usize;
+    for integrator in [Integrator::Euler, Integrator::Rk4, Integrator::Exponential] {
+        for (name, make) in catalog_units() {
+            let mut warm = make();
+            let mut cold = make();
+            warm.set_integrator(integrator);
+            let full_cores: Vec<u32> = warm.spec().soc.clusters.iter().map(|c| c.cores).collect();
+            let mut ra = StepReport::empty();
+            let mut rb = StepReport::empty();
+            let mut pinned = std::collections::BTreeSet::new();
+            for (step, &(dt, demand, mode)) in trajectory().iter().enumerate() {
+                cold.set_integrator(integrator);
+                warm.step_into(dt, demand, mode, &mut ra).unwrap();
+                cold.step_into(dt, demand, mode, &mut rb).unwrap();
+                assert_reports_bit_identical(&ra, &rb, step);
+                throttled += usize::from(ra.throttled);
+                if matches!(demand, CpuDemand::Busy { .. }) && ra.active_cores < full_cores {
+                    hotplugged += 1;
+                }
+                if let FrequencyMode::Fixed(_) = mode {
+                    pinned.insert(ra.cluster_freqs[0].value().to_bits());
+                }
+            }
+            assert!(
+                pinned.len() > 1,
+                "{name} ({integrator}): fixed-frequency pins never changed the OPP"
+            );
+        }
+    }
+    assert!(throttled > 0, "no device throttled");
+    assert!(hotplugged > 0, "no device hotplugged a core");
 }
 
 /// Warm-cache stepping vs forced-miss stepping on the RBCPR Pixel: every

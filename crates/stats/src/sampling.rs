@@ -23,6 +23,7 @@
 
 use crate::bootstrap::ConfidenceInterval;
 use crate::StatsError;
+use core::borrow::Borrow;
 use pv_rng::rngs::StdRng;
 use pv_rng::{Rng, SeedableRng};
 
@@ -369,7 +370,9 @@ pub fn estimate(
         }
     }
     let n: usize = live.iter().map(|g| g.values.len()).sum();
-    let point = point_estimates(&live)?;
+    // (value, weight) pairs of the quantile scan, reused by every resample.
+    let mut pairs = Vec::with_capacity(n);
+    let point = point_estimates(&live, &mut pairs)?;
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut boots: [Vec<f64>; 4] = [
@@ -391,8 +394,7 @@ pub fn estimate(
                 *slot = src.values[rng.gen_range(0..src.values.len())];
             }
         }
-        let refs: Vec<&StratumSample> = resampled.iter().collect();
-        let p = point_estimates(&refs)?;
+        let p = point_estimates(&resampled, &mut pairs)?;
         boots[0].push(p[0]);
         boots[1].push(p[1]);
         boots[2].push(p[2]);
@@ -416,12 +418,17 @@ pub fn estimate(
     })
 }
 
-/// `[mean, rsd_percent, p50, p90]` for one set of weighted groups.
-fn point_estimates(groups: &[&StratumSample]) -> Result<[f64; 4], StatsError> {
-    let wsum: f64 = groups.iter().map(|g| g.weight).sum();
+/// `[mean, rsd_percent, p50, p90]` for one set of weighted groups, using
+/// `pairs` as the quantile scan's buffer.
+fn point_estimates<S: Borrow<StratumSample>>(
+    groups: &[S],
+    pairs: &mut Vec<(f64, f64)>,
+) -> Result<[f64; 4], StatsError> {
+    let wsum: f64 = groups.iter().map(|g| g.borrow().weight).sum();
     let mut mean = 0.0;
     let mut mean_sq = 0.0;
     for g in groups {
+        let g = g.borrow();
         let w = g.weight / wsum;
         let gn = g.values.len() as f64;
         let gm: f64 = g.values.iter().sum::<f64>() / gn;
@@ -435,21 +442,24 @@ fn point_estimates(groups: &[&StratumSample]) -> Result<[f64; 4], StatsError> {
     } else {
         return Err(StatsError::InvalidParameter("zero mean"));
     };
-    let p50 = weighted_quantile(groups, wsum, 0.50)?;
-    let p90 = weighted_quantile(groups, wsum, 0.90)?;
+    let [p50, p90] = weighted_quantiles(groups, wsum, [0.50, 0.90], pairs)?;
     Ok([mean, rsd, p50, p90])
 }
 
-/// Weighted empirical quantile: each value in group `h` carries weight
-/// `W_h / n_h`; returns the smallest value whose cumulative weight reaches
-/// `q`.
-fn weighted_quantile(
-    groups: &[&StratumSample],
+/// Weighted empirical quantiles at ascending levels `qs`: each value in
+/// group `h` carries weight `W_h / n_h`, and the quantile at `q` is the
+/// smallest value whose cumulative weight reaches `q`. One stable sort and
+/// one cumulative scan serve every level; `pairs` is scratch.
+fn weighted_quantiles<S: Borrow<StratumSample>, const N: usize>(
+    groups: &[S],
     wsum: f64,
-    q: f64,
-) -> Result<f64, StatsError> {
-    let mut pairs: Vec<(f64, f64)> = Vec::new();
+    qs: [f64; N],
+    pairs: &mut Vec<(f64, f64)>,
+) -> Result<[f64; N], StatsError> {
+    debug_assert!(qs.windows(2).all(|w| w[0] <= w[1]), "levels must ascend");
+    pairs.clear();
     for g in groups {
+        let g = g.borrow();
         let per = g.weight / wsum / g.values.len() as f64;
         pairs.extend(g.values.iter().map(|&v| (v, per)));
     }
@@ -457,14 +467,21 @@ fn weighted_quantile(
         return Err(StatsError::EmptySample);
     }
     pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(core::cmp::Ordering::Equal));
+    // A level the scan never reaches (rounding) falls back to the top value.
+    let mut out = [pairs[pairs.len() - 1].0; N];
+    let mut next = 0;
     let mut acc = 0.0;
-    for &(v, w) in &pairs {
+    for &(v, w) in pairs.iter() {
         acc += w;
-        if acc >= q - 1e-12 {
-            return Ok(v);
+        while next < N && acc >= qs[next] - 1e-12 {
+            out[next] = v;
+            next += 1;
+        }
+        if next == N {
+            break;
         }
     }
-    Ok(pairs[pairs.len() - 1].0)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -635,6 +652,49 @@ mod tests {
         assert!(estimate(&bad_v, 0.95, 100, 1).is_err());
     }
 
+    /// One quantile per sort and scan, as `estimate` computed them before
+    /// p50 and p90 shared one: the oracle for `weighted_quantiles`.
+    fn weighted_quantile_oracle(groups: &[StratumSample], wsum: f64, q: f64) -> f64 {
+        let mut pairs: Vec<(f64, f64)> = Vec::new();
+        for g in groups {
+            let per = g.weight / wsum / g.values.len() as f64;
+            pairs.extend(g.values.iter().map(|&v| (v, per)));
+        }
+        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(core::cmp::Ordering::Equal));
+        let mut acc = 0.0;
+        for &(v, w) in &pairs {
+            acc += w;
+            if acc >= q - 1e-12 {
+                return v;
+            }
+        }
+        pairs[pairs.len() - 1].0
+    }
+
+    #[test]
+    fn shared_sort_quantiles_match_one_sort_per_level() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut pairs = Vec::new();
+        for case in 0..200 {
+            let groups: Vec<StratumSample> = (0..1 + case % 5)
+                .map(|_| StratumSample {
+                    weight: rng.gen_range(0.05..3.0),
+                    // Coarse values so ties are common.
+                    values: (0..rng.gen_range(1..40usize))
+                        .map(|_| f64::from(rng.gen_range(0..25u32)) * 0.5)
+                        .collect(),
+                })
+                .collect();
+            let wsum: f64 = groups.iter().map(|g| g.weight).sum();
+            let qs = [0.1, 0.5, 0.5, 0.9, 1.0];
+            let got = weighted_quantiles(&groups, wsum, qs, &mut pairs).unwrap();
+            for (&q, &v) in qs.iter().zip(&got) {
+                let want = weighted_quantile_oracle(&groups, wsum, q);
+                assert_eq!(v.to_bits(), want.to_bits(), "case {case} q {q}");
+            }
+        }
+    }
+
     #[test]
     fn weighted_quantile_respects_weights() {
         // Two strata: 90% of weight at value 10, 10% at value 100.
@@ -648,8 +708,8 @@ mod tests {
                 values: vec![100.0; 9],
             },
         ];
-        let refs: Vec<&StratumSample> = groups.iter().collect();
-        assert_eq!(weighted_quantile(&refs, 1.0, 0.5).unwrap(), 10.0);
-        assert_eq!(weighted_quantile(&refs, 1.0, 0.95).unwrap(), 100.0);
+        let mut pairs = Vec::new();
+        let q = weighted_quantiles(&groups, 1.0, [0.5, 0.95], &mut pairs).unwrap();
+        assert_eq!(q, [10.0, 100.0]);
     }
 }

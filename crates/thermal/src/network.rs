@@ -303,7 +303,8 @@ fn structural_signature(nodes: &[Node], edges: &[Edge]) -> Vec<u64> {
 /// Struct-owned per-step work buffers, sized once at build so the step
 /// loop never touches the heap. `y` holds the state snapshot, `stage` the
 /// RK4 trial states, and `k1..k4` the derivative evaluations (Euler uses
-/// only `y`/`k1`; Exponential uses `y`/`k1` as mat-vec input/output).
+/// only `k1`, as its edge-flow accumulator; Exponential uses `y`/`k1` as
+/// mat-vec input/output).
 #[derive(Debug, Clone, Default)]
 struct StepScratch {
     y: Vec<f64>,
@@ -568,22 +569,40 @@ impl ThermalNetwork {
         }
     }
 
+    /// Forward Euler straight from the node temperatures: the net edge
+    /// flow accumulates into `k1`, then each capacitive node takes
+    /// `T + (Σflow + q)/C · h`. This is [`Self::derivatives`]' arithmetic
+    /// in the same order, so it is bit-identical to evaluating the
+    /// derivative on a state snapshot — the snapshot is unnecessary because
+    /// every flow is read before any temperature is written, and boundary
+    /// nodes, whose derivative is zero, are never touched.
     fn substep_euler(&mut self, substeps: usize, h: f64) {
-        // The scratch is detached while borrowed so `derivatives` can take
-        // `&self`; putting it back preserves the buffers (no allocation).
-        let mut s = std::mem::take(&mut self.scratch);
+        let Self {
+            nodes,
+            edges,
+            heat_scratch,
+            scratch,
+            ..
+        } = self;
+        let flow_sum = &mut scratch.k1;
         for _ in 0..substeps {
-            for (t, node) in s.y.iter_mut().zip(&self.nodes) {
-                *t = node.temp.value();
+            flow_sum.fill(0.0);
+            for e in edges.iter() {
+                let flow = (nodes[e.b].temp.value() - nodes[e.a].temp.value()) * e.conductance;
+                flow_sum[e.a] += flow;
+                flow_sum[e.b] -= flow;
             }
-            self.derivatives(&s.y, &mut s.k1);
-            for (i, node) in self.nodes.iter_mut().enumerate() {
-                if matches!(node.kind, NodeKind::Capacitive(_)) {
-                    node.temp = Celsius(s.y[i] + s.k1[i] * h);
+            for ((node, &sum), &q) in nodes
+                .iter_mut()
+                .zip(flow_sum.iter())
+                .zip(heat_scratch.iter())
+            {
+                if let NodeKind::Capacitive(c) = node.kind {
+                    let d = (sum + q) / c.value();
+                    node.temp = Celsius(node.temp.value() + d * h);
                 }
             }
         }
-        self.scratch = s;
     }
 
     fn substep_rk4(&mut self, substeps: usize, h: f64) {
@@ -1457,6 +1476,114 @@ mod exponential_tests {
                     "case {case}: node {} diverged by {gap:.3e} K",
                     id.index()
                 );
+            }
+        }
+    }
+
+    /// The Euler step as it was before `substep_euler` integrated in place:
+    /// snapshot the state, evaluate [`ThermalNetwork::derivatives`] on it,
+    /// then write `y + k·h` back to the capacitive nodes. Kept only as the
+    /// bit-identity oracle for the lean substep.
+    fn reference_euler_step(net: &mut ThermalNetwork, dt: f64, heat: &[(NodeId, Watts)]) {
+        net.heat_scratch.fill(0.0);
+        for &(node, power) in heat {
+            net.heat_scratch[node.0] += power.value();
+        }
+        let substeps = if net.max_substep.is_finite() {
+            (dt / net.max_substep).ceil().max(1.0) as usize
+        } else {
+            1
+        };
+        let h = dt / substeps as f64;
+        let n = net.nodes.len();
+        let (mut y, mut k1) = (vec![0.0; n], vec![0.0; n]);
+        for _ in 0..substeps {
+            for (t, node) in y.iter_mut().zip(&net.nodes) {
+                *t = node.temp.value();
+            }
+            net.derivatives(&y, &mut k1);
+            for (i, node) in net.nodes.iter_mut().enumerate() {
+                if matches!(node.kind, NodeKind::Capacitive(_)) {
+                    node.temp = Celsius(y[i] + k1[i] * h);
+                }
+            }
+        }
+    }
+
+    /// The in-place Euler substep reproduces the derivative-snapshot one
+    /// bit for bit on randomized RC networks: boundary nodes interleaved
+    /// anywhere in the node order, extra and parallel edges, heat on a
+    /// random subset, boundary re-pins mid-run, and
+    /// step sizes from well under one substep to many substeps.
+    #[test]
+    fn euler_substep_is_bit_identical_to_derivative_oracle() {
+        let mut rng = Lcg(0x5EED_0E11_1E55_u64);
+        for case in 0..60 {
+            let n = 2 + (rng.next_f64() * 6.0) as usize; // 2..=7 nodes
+            let mut b = ThermalNetworkBuilder::new();
+            let mut ids = Vec::new();
+            let mut caps = Vec::new();
+            let mut bounds = Vec::new();
+            for i in 0..n {
+                // Node 0 is capacitive so every network can integrate.
+                if i > 0 && rng.next_f64() < 0.35 {
+                    let id = b
+                        .add_boundary(&format!("b{i}"), Celsius(rng.range(10.0, 45.0)))
+                        .unwrap();
+                    bounds.push(id);
+                    ids.push(id);
+                } else {
+                    let id = b
+                        .add_node(
+                            &format!("n{i}"),
+                            ThermalCapacitance(rng.range(0.05, 30.0)),
+                            Celsius(rng.range(15.0, 95.0)),
+                        )
+                        .unwrap();
+                    caps.push(id);
+                    ids.push(id);
+                }
+            }
+            for w in ids.windows(2) {
+                b.connect(w[0], w[1], ThermalResistance(rng.range(0.2, 12.0)))
+                    .unwrap();
+            }
+            for _ in 0..(rng.next_f64() * 4.0) as usize {
+                let i = (rng.next_f64() * n as f64) as usize % n;
+                let j = (rng.next_f64() * n as f64) as usize % n;
+                if i != j {
+                    b.connect(ids[i], ids[j], ThermalResistance(rng.range(0.5, 25.0)))
+                        .unwrap();
+                }
+            }
+            let mut lean = b.build().unwrap();
+            let mut oracle = lean.clone();
+            for round in 0..40 {
+                let mut heat: Vec<(NodeId, Watts)> = Vec::new();
+                for &id in &caps {
+                    if rng.next_f64() < 0.6 {
+                        heat.push((id, Watts(rng.range(0.0, 8.0))));
+                    }
+                }
+                // From a fraction of one substep to dozens of them.
+                let dt = lean.max_substep * rng.range(0.05, 30.0);
+                lean.step(Seconds(dt), &heat).unwrap();
+                reference_euler_step(&mut oracle, dt, &heat);
+                if round % 13 == 7 {
+                    for &id in &bounds {
+                        let t = Celsius(rng.range(5.0, 50.0));
+                        lean.set_boundary_temp(id, t).unwrap();
+                        oracle.set_boundary_temp(id, t).unwrap();
+                    }
+                }
+                for &id in &ids {
+                    assert_eq!(
+                        lean.temperature(id).value().to_bits(),
+                        oracle.temperature(id).value().to_bits(),
+                        "case {case} round {round}: node {} diverged",
+                        id.index()
+                    );
+                }
             }
         }
     }
