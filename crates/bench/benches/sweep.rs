@@ -360,7 +360,11 @@ fn main() {
         if *batch == 1 {
             continue;
         }
-        let per_round: Vec<f64> = scalar_secs.iter().zip(secs).map(|(b1, bn)| b1 / bn).collect();
+        let per_round: Vec<f64> = scalar_secs
+            .iter()
+            .zip(secs)
+            .map(|(b1, bn)| b1 / bn)
+            .collect();
         let stats = robust(&per_round, DEFAULT_NOISE_THRESHOLD)
             .expect("at least one sample per batch width");
         report.metrics.push(Metric::from_stats(
@@ -500,7 +504,11 @@ fn main() {
         sampled_stats.p50,
         sample_speedup_stats.p50,
         sample_speedup_stats.rel_spread * 100.0,
-        if sample_speedup_stats.noisy { " NOISY" } else { "" }
+        if sample_speedup_stats.noisy {
+            " NOISY"
+        } else {
+            ""
+        }
     );
 
     report.checks.push(Check {

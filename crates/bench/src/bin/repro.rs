@@ -1096,7 +1096,11 @@ fn run_sweep_streamed(
             .iter()
             .map(|g| StratumSample {
                 weight: g.weight,
-                values: g.indices.iter().filter_map(|i| by_pop.get(i).copied()).collect(),
+                values: g
+                    .indices
+                    .iter()
+                    .filter_map(|i| by_pop.get(i).copied())
+                    .collect(),
             })
             .collect();
         match sampling::estimate(&groups, 0.95, 1000, plan.seed) {

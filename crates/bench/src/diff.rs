@@ -516,7 +516,14 @@ mod tests {
         // bench, so sweep fixtures carry a passing batch ratio unless the
         // test supplies its own (appended, to keep `rows[0]` stable).
         if bench == "sweep" && !metrics.iter().any(|m| m.name == "batch_speedup/b8") {
-            metrics.push(Metric::scalar("batch_speedup/b8", "x", true, 2.0, 0.01, false));
+            metrics.push(Metric::scalar(
+                "batch_speedup/b8",
+                "x",
+                true,
+                2.0,
+                0.01,
+                false,
+            ));
         }
         if bench == "sweep" && !metrics.iter().any(|m| m.name == "sample_speedup/n2000") {
             metrics.push(Metric::scalar(

@@ -448,8 +448,9 @@ mod tests {
             for _trial in 0..5 {
                 // Random split points partition the stream into `workers`
                 // contiguous chunks.
-                let mut cuts: Vec<usize> =
-                    (0..workers - 1).map(|_| rng.gen_range(0..subs.len())).collect();
+                let mut cuts: Vec<usize> = (0..workers - 1)
+                    .map(|_| rng.gen_range(0..subs.len()))
+                    .collect();
                 cuts.push(0);
                 cuts.push(subs.len());
                 cuts.sort_unstable();
@@ -464,10 +465,7 @@ mod tests {
                 // Exact: counters, histogram bins, leaderboard set.
                 assert_eq!(merged.accepted(), reference.accepted());
                 assert_eq!(merged.rejected(), reference.rejected());
-                assert_eq!(
-                    merged.histogram().counts(),
-                    reference.histogram().counts()
-                );
+                assert_eq!(merged.histogram().counts(), reference.histogram().counts());
                 assert_eq!(
                     merged.histogram().underflow(),
                     reference.histogram().underflow()
@@ -489,10 +487,7 @@ mod tests {
                     "workers {workers}: mean vs oracle"
                 );
                 assert!(
-                    rel(
-                        merged.moments().sample_std().unwrap(),
-                        oracle.std()
-                    ) < 1e-9,
+                    rel(merged.moments().sample_std().unwrap(), oracle.std()) < 1e-9,
                     "workers {workers}: std vs oracle"
                 );
             }
@@ -543,7 +538,10 @@ mod tests {
         let p90 = agg.approx_quantile(0.9).unwrap();
         assert!((p90 - 90.0).abs() < 1.5, "{p90}");
         assert_eq!(agg.out_of_range_fraction(), 0.0);
-        assert!(ScoreAggregate::new(5.0).unwrap().approx_quantile(0.5).is_none());
+        assert!(ScoreAggregate::new(5.0)
+            .unwrap()
+            .approx_quantile(0.5)
+            .is_none());
     }
 
     #[test]

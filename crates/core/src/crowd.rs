@@ -1744,7 +1744,9 @@ pub fn populate_streamed(
                     let width = STREAM_GROUP - start % STREAM_GROUP;
                     StreamChunk {
                         runs: panicked_chunk_runs(&labels, start, width, &panic),
-                        partial: start.is_multiple_of(STREAM_GROUP).then(|| agg.fresh_partial()),
+                        partial: start
+                            .is_multiple_of(STREAM_GROUP)
+                            .then(|| agg.fresh_partial()),
                     }
                 }
                 TaskOutcome::Completed(chunk) => chunk,

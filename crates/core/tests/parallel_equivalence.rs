@@ -12,9 +12,9 @@ use accubench::crowd::{
     populate_batched, populate_journaled, populate_parallel, CrowdDatabase, SweepConfig,
     SweepReport,
 };
-use accubench::supervise::SessionChaos;
 use accubench::journal::{CancelToken, Journal};
 use accubench::protocol::Protocol;
+use accubench::supervise::SessionChaos;
 use pv_faults::ALL_KINDS;
 use pv_json::ToJson;
 use pv_rng::{Rng, SeedableRng, StdRng};

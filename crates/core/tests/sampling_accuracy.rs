@@ -250,7 +250,10 @@ fn sampled_simulated_sweep_covers_full_fleet_oracle() {
         // The sampled scores are identical to the same devices' scores in
         // the full-fleet run: simulation is per-device deterministic.
         for (slot, &pop_index) in selection.indices.iter().enumerate() {
-            assert_eq!(sampled[slot].1, full_scores[pop_index], "device {pop_index}");
+            assert_eq!(
+                sampled[slot].1, full_scores[pop_index],
+                "device {pop_index}"
+            );
         }
         let groups = measured_groups(&selection, score_of);
         let est = sampling::estimate(&groups, 0.95, 400, 0xB00_7002).unwrap();

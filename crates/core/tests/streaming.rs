@@ -191,7 +191,10 @@ fn streamed_aggregate_bit_identical_across_threads_and_widths() {
                     "{tag}: threads={threads} batch={batch}: aggregate bits diverged"
                 );
                 assert_eq!(run.holes, serial.holes, "{tag}: t={threads} b={batch}");
-                assert_eq!(run.retained, serial.retained, "{tag}: t={threads} b={batch}");
+                assert_eq!(
+                    run.retained, serial.retained,
+                    "{tag}: t={threads} b={batch}"
+                );
             }
         }
     }

@@ -84,9 +84,9 @@ impl DeviceBatch {
     /// grouping is detected here (structural-signature equality); a mixed
     /// chunk still works, it just steps thermally lane by lane.
     pub fn new(lanes: Vec<Device>) -> Self {
-        let same_archetype = lanes
-            .windows(2)
-            .all(|w| w[0].network().structural_signature() == w[1].network().structural_signature());
+        let same_archetype = lanes.windows(2).all(|w| {
+            w[0].network().structural_signature() == w[1].network().structural_signature()
+        });
         let nodes = lanes.first().map_or(0, |d| d.network().node_count());
         let width = lanes.len();
         Self {

@@ -196,7 +196,10 @@ fn rss_indices(rng: &mut StdRng, aux: &[f64], n: usize, m: usize) -> Vec<usize> 
         // Rank candidates by the auxiliary variable (ties by index so the
         // choice is deterministic).
         candidates.sort_unstable_by(|&a, &b| {
-            aux[a].partial_cmp(&aux[b]).unwrap_or(core::cmp::Ordering::Equal).then(a.cmp(&b))
+            aux[a]
+                .partial_cmp(&aux[b])
+                .unwrap_or(core::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
         });
         let pick = candidates[rank.min(candidates.len() - 1)];
         measured[pick] = true;

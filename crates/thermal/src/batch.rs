@@ -198,9 +198,7 @@ impl ThermalBatch {
             ));
         }
         if cols > w {
-            return Err(ThermalError::InvalidParameter(
-                "cols exceeds batch width",
-            ));
+            return Err(ThermalError::InvalidParameter("cols exceeds batch width"));
         }
         let phi = p.phi();
         let b = p.b();
@@ -230,7 +228,8 @@ impl ThermalBatch {
                     for c in c0..c0 + tile {
                         let mut acc = 0.0;
                         for k in 0..n {
-                            acc += phi_row[k] * self.temps[k * w + c] + b_row[k] * self.heats[k * w + c];
+                            acc += phi_row[k] * self.temps[k * w + c]
+                                + b_row[k] * self.heats[k * w + c];
                         }
                         self.out[i * w + c] = acc;
                     }
@@ -316,10 +315,8 @@ mod tests {
     fn batched_step_is_bit_identical_to_scalar() {
         for case in 0..12u64 {
             for &width in &[1usize, 3, 8, 64] {
-                let mut scalar: Vec<_> =
-                    (0..width).map(|l| archetype_lane(case, l)).collect();
-                let mut batched: Vec<_> =
-                    (0..width).map(|l| archetype_lane(case, l)).collect();
+                let mut scalar: Vec<_> = (0..width).map(|l| archetype_lane(case, l)).collect();
+                let mut batched: Vec<_> = (0..width).map(|l| archetype_lane(case, l)).collect();
                 let n = scalar[0].0.node_count();
                 let mut batch = ThermalBatch::new(width, n);
                 let heats = |ids: &[NodeId], lane: usize| {
@@ -334,10 +331,7 @@ mod tests {
                         net.step(Seconds(dt), &heats(ids, lane)).unwrap();
                     }
                     // Batched path: gather → load → step → scatter.
-                    let prop = batched[0]
-                        .0
-                        .exponential_propagator(Seconds(dt))
-                        .unwrap();
+                    let prop = batched[0].0.exponential_propagator(Seconds(dt)).unwrap();
                     for (lane, (net, ids)) in batched.iter_mut().enumerate() {
                         batch.gather(lane, net);
                         batch.load_heat(lane, net, &heats(ids, lane)).unwrap();

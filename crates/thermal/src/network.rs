@@ -1353,7 +1353,9 @@ mod exponential_tests {
         assert_eq!(fresh.phi, shared.phi);
         assert_eq!(fresh.b, shared.b);
         for _ in 0..40 {
-            via_cache.step(Seconds(0.37), &[(die_c, Watts(2.0))]).unwrap();
+            via_cache
+                .step(Seconds(0.37), &[(die_c, Watts(2.0))])
+                .unwrap();
             rebuilt.step(Seconds(0.37), &[(die_r, Watts(2.0))]).unwrap();
         }
         assert_eq!(
