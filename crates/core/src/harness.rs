@@ -50,7 +50,7 @@ use crate::BenchError;
 use pv_faults::{FaultHandle, FaultKind};
 use pv_power::FaultyMeter;
 use pv_soc::device::{CpuDemand, Dut, FrequencyMode, StepReport};
-use pv_soc::trace::Trace;
+use pv_soc::trace::{running_peak, Trace};
 use pv_stats::Summary;
 use pv_thermal::thermabox::{FaultyThermaBox, ThermaBox, ThermaBoxConfig};
 use pv_units::{Celsius, Seconds, Watts};
@@ -424,6 +424,9 @@ impl Harness {
         // `record_trace` is on, an untraced iteration's step loop never
         // touches the heap.
         let mut report = StepReport::empty();
+        // Peak die temperature over every step of the iteration, folded in
+        // step order so it equals the recorded trace's peak.
+        let mut peak: Option<Celsius> = None;
 
         // --- Warmup: wakelock held, all cores busy. ---
         events.push((t, Event::WakelockAcquired));
@@ -432,6 +435,7 @@ impl Harness {
             let dt = Seconds(remaining.min(self.protocol.busy_dt.value()));
             self.coupled_step(device, dt, CpuDemand::busy(), mode, &mut report)?;
             t += dt;
+            peak = running_peak(peak, report.die_temp);
             if record {
                 full_trace.push(report.to_sample(t));
             }
@@ -477,6 +481,7 @@ impl Harness {
             );
             self.coupled_step(device, dt, CpuDemand::Idle, mode, &mut report)?;
             t += dt;
+            peak = running_peak(peak, report.die_temp);
             cooldown_elapsed += dt.value();
             since_poll += dt.value();
             if record {
@@ -507,6 +512,7 @@ impl Harness {
             let dt = Seconds(remaining.min(self.protocol.busy_dt.value()));
             self.coupled_step(device, dt, CpuDemand::busy(), mode, &mut report)?;
             t += dt;
+            peak = running_peak(peak, report.die_temp);
             meter.record(report.supply_power, dt)?;
             work_cycles += report.work_cycles;
             temp_weighted += report.die_temp.value() * dt.value();
@@ -533,9 +539,7 @@ impl Harness {
 
         events.push((t, Event::WorkloadEnded));
         let workload_secs = workload_time.max(f64::MIN_POSITIVE);
-        let peak_temp = full_trace
-            .peak_die_temp()
-            .unwrap_or_else(|| device.die_temp());
+        let peak_temp = peak.unwrap_or_else(|| device.die_temp());
         Ok(Iteration {
             iterations_completed: work_cycles / self.workload_spec.cycles_per_iteration(),
             energy: meter.energy(),
@@ -772,9 +776,8 @@ mod tests {
 
     /// Recording a trace only observes the session: with `record_trace` on
     /// and off, every iteration statistic matches bit for bit (compared
-    /// through `Debug`, which tells -0.0 from 0.0). The traces differ by
-    /// definition, and so does `peak_temp`, which is the trace's peak when
-    /// one is recorded and the end-of-iteration die temperature otherwise.
+    /// through `Debug`, which tells -0.0 from 0.0). Only the traces differ,
+    /// by definition; `peak_temp` is folded over the steps either way.
     #[test]
     fn recording_a_trace_leaves_iteration_statistics_unchanged() {
         for integrator in [Integrator::Euler, Integrator::Exponential] {
@@ -796,7 +799,6 @@ mod tests {
                 let stripped = Iteration {
                     full_trace: Trace::new(),
                     workload_trace: Trace::new(),
-                    peak_temp: p.peak_temp,
                     ..t.clone()
                 };
                 assert_eq!(format!("{p:?}"), format!("{stripped:?}"), "{integrator}");

@@ -9,6 +9,17 @@
 use core::fmt;
 use pv_units::{Celsius, MegaHertz, Seconds, Volts, Watts};
 
+/// One step of a running peak: `t` if nothing was seen yet, else
+/// `peak.max(t)`. [`Trace::peak_die_temp`] folds it over a trace's samples
+/// in order; a session loop that records no trace folds it over its steps
+/// and gets the same bits.
+pub fn running_peak(peak: Option<Celsius>, t: Celsius) -> Option<Celsius> {
+    Some(match peak {
+        None => t,
+        Some(best) => best.max(t),
+    })
+}
+
 /// Telemetry from one simulation step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSample {
@@ -109,10 +120,7 @@ impl Trace {
         self.samples
             .iter()
             .map(|s| s.die_temp)
-            .fold(None, |acc, t| match acc {
-                None => Some(t),
-                Some(best) => Some(best.max(t)),
-            })
+            .fold(None, running_peak)
     }
 
     /// Peak case (skin) temperature; `None` on an empty trace.
@@ -120,10 +128,7 @@ impl Trace {
         self.samples
             .iter()
             .map(|s| s.case_temp)
-            .fold(None, |acc, t| match acc {
-                None => Some(t),
-                Some(best) => Some(best.max(t)),
-            })
+            .fold(None, running_peak)
     }
 
     /// Time share of each distinct frequency the primary cluster visited,
