@@ -397,3 +397,86 @@ fn streamed_memory_is_fleet_size_independent() {
     assert!(ci.lo <= ci.point && ci.point <= ci.hi);
     assert!(ci.contains(large.mean().unwrap()));
 }
+
+/// A fleet spanning three [`STREAM_GROUP`]s: the aggregate bits, holes and
+/// retained scores are identical across thread counts and batch widths,
+/// and after kill+resume from journals cut right after device 63 (on the
+/// grid), device 70 (inside the second group) and device 130 (inside the
+/// last, partial group).
+#[test]
+fn multi_group_sweep_is_bit_identical_across_widths_and_resume_cuts() {
+    let n = 2 * STREAM_GROUP + 5;
+    let protocol = Protocol::unconstrained()
+        .with_warmup(Seconds(10.0))
+        .with_workload(Seconds(10.0));
+    let cfg = SweepConfig::clean(protocol, 2).with_chaos(SessionChaos::new(11, 2, 0));
+    let run = |threads: usize, batch: usize, journal: Option<&mut Journal>| {
+        let mut a = agg();
+        let sweep = populate_streamed(
+            &mut a,
+            "Pixel",
+            fleet(n),
+            &cfg,
+            journal,
+            &CancelToken::new(),
+            threads,
+            batch,
+            true,
+        )
+        .unwrap();
+        assert!(sweep.complete);
+        (print_of(&a), sweep)
+    };
+
+    let full_path = tmp_path("multi-group-full");
+    let _ = std::fs::remove_file(&full_path);
+    let mut journal = Journal::open(&full_path).unwrap();
+    let (base_print, baseline) = run(1, 1, Some(&mut journal));
+    drop(journal);
+    let full_bytes = std::fs::read(&full_path).unwrap();
+    assert_eq!(baseline.holes.len(), 2, "the chaos panics are holes");
+    assert_eq!(baseline.retained.len(), n - 2);
+
+    for threads in [1usize, 2] {
+        for batch in [1usize, 8, 64] {
+            let (print, sweep) = run(threads, batch, None);
+            let tag = format!("threads={threads} batch={batch}");
+            assert_eq!(print, base_print, "{tag}: aggregate bits diverged");
+            assert_eq!(sweep.holes, baseline.holes, "{tag}");
+            assert_eq!(sweep.retained, baseline.retained, "{tag}");
+        }
+    }
+
+    // Each journal line is one record; cut right after device `last`'s
+    // outcome record.
+    let resume_path = tmp_path("multi-group-resume");
+    for (last, threads, batch) in [(63usize, 2usize, 8usize), (70, 1, 64), (130, 2, 1)] {
+        let text = std::str::from_utf8(&full_bytes).unwrap();
+        let mut cut = 0;
+        for line in text.split_inclusive('\n') {
+            cut += line.len();
+            if matches!(
+                accubench::journal::decode_line(line.trim_end()),
+                Ok(accubench::journal::Record::Outcome { index, .. }) if index == last
+            ) {
+                break;
+            }
+        }
+        std::fs::write(&resume_path, &full_bytes[..cut]).unwrap();
+        let mut journal = Journal::open(&resume_path).unwrap();
+        let (print, sweep) = run(threads, batch, Some(&mut journal));
+        drop(journal);
+        let tag = format!("cut after device {last}");
+        assert_eq!(sweep.resumed, last + 1, "{tag}");
+        assert_eq!(print, base_print, "{tag}: resumed aggregate bits diverged");
+        assert_eq!(sweep.holes, baseline.holes, "{tag}");
+        assert_eq!(sweep.retained, baseline.retained, "{tag}");
+        assert_eq!(
+            std::fs::read(&resume_path).unwrap(),
+            full_bytes,
+            "{tag}: healed journal bytes diverged"
+        );
+    }
+    let _ = std::fs::remove_file(&full_path);
+    let _ = std::fs::remove_file(&resume_path);
+}
