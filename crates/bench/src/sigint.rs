@@ -6,13 +6,14 @@
 //!
 //! The handler only performs async-signal-safe operations — one atomic
 //! store, one `write(2)` to stderr, two `signal(2)` calls — and the sweep
-//! loop polls the flag between device sessions through a [`CancelToken`]:
-//! the in-flight session finishes, its outcome is journaled, and the
-//! process exits cleanly so a later `--resume` picks up exactly where it
-//! stopped. The handler announces this ("press Ctrl-C again to abort
-//! immediately") and restores the default disposition, so a second Ctrl-C
-//! while the current session drains kills the process immediately (the
-//! journal stays valid: recovery drops any torn tail).
+//! loop polls the flag between tasks through a [`CancelToken`]: the
+//! in-flight work (a sweep's chunks of up to 64 devices, or a lone
+//! session) finishes, its outcomes are journaled, and the process exits
+//! cleanly so a later `--resume` picks up exactly where it stopped. The
+//! handler announces this ("press Ctrl-C again to abort immediately") and
+//! restores the default disposition, so a second Ctrl-C while the
+//! in-flight work drains kills the process immediately (the journal stays
+//! valid: recovery drops any torn tail).
 
 use accubench::journal::CancelToken;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,7 +42,7 @@ mod imp {
         // would allocate and lock — both forbidden in a handler), no locks.
         INTERRUPTED.store(true, Ordering::SeqCst);
         const MSG: &[u8] =
-            b"\ninterrupt: finishing current device (press Ctrl-C again to abort immediately)\n";
+            b"\ninterrupt: finishing in-flight work (press Ctrl-C again to abort immediately)\n";
         unsafe {
             // Best-effort: a full pipe or closed stderr must not stall the
             // handler, so the return value is deliberately ignored.

@@ -5,10 +5,10 @@
 //! 10³–10⁴ devices. [`ScoreAggregate`] replaces that with a constant-size
 //! partial aggregate: count/mean/M2 moments ([`pv_stats::stream::Moments`]),
 //! a fixed-bin score histogram ([`pv_stats::histogram::Histogram`]) and a
-//! bounded top-K leaderboard. Workers fold their chunk of the fleet locally
-//! and the single-writer sink merges the O(workers) partials in canonical
-//! (ascending device index) order, so sweep memory is O(bins + K) however
-//! large the fleet grows.
+//! bounded top-K leaderboard. The sweep's single-writer sink folds each
+//! device, in canonical (ascending device index) order, into the partial of
+//! its fixed-size group and merges the group partials in ascending order,
+//! so sweep memory is O(bins + K) however large the fleet grows.
 //!
 //! ## Aggregation algebra
 //!
@@ -184,8 +184,8 @@ impl ScoreAggregate {
         })
     }
 
-    /// An empty partial with this aggregate's layout — what each worker
-    /// folds its chunk into.
+    /// An empty partial with this aggregate's layout — what each group of
+    /// a streamed sweep is folded into.
     pub fn fresh_partial(&self) -> Self {
         let mut p = self.clone();
         p.moments = Moments::new();

@@ -45,7 +45,9 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::crowd::{run_from_session, supervise_device, DeviceRun, SweepConfig, SweepOutcome};
+use crate::crowd::{
+    replayed, run_from_session, supervise_device, DeviceRun, RestoredMap, SweepConfig,
+};
 use crate::harness::{judge_session, QualityGates};
 use crate::protocol::Protocol;
 use crate::session::{Event, Iteration, Session};
@@ -56,7 +58,6 @@ use pv_soc::device::{CpuDemand, Device};
 use pv_soc::trace::{running_peak, Trace};
 use pv_units::{Celsius, MegaHertz, Seconds};
 use pv_workload::WorkloadSpec;
-use std::collections::BTreeMap;
 
 /// Whether device `index` may run in a lockstep batch — see the
 /// [module docs](self) for why each condition makes the scalar path's
@@ -96,67 +97,47 @@ pub(crate) fn supervise_chunk(
     cfg: &SweepConfig,
     fleet: usize,
     chunk: Vec<(usize, Device)>,
-    restored: &BTreeMap<usize, (SweepOutcome, Option<f64>, Option<f64>)>,
+    restored: &RestoredMap,
 ) -> Vec<DeviceRun> {
-    let mut results: Vec<Option<DeviceRun>> = (0..chunk.len()).map(|_| None).collect();
-    // (chunk slot, fleet index, pristine device) per lockstep lane.
-    let mut lane_slots: Vec<(usize, usize, Device)> = Vec::new();
-    let mut lanes: Vec<Device> = Vec::new();
-    for (slot, (index, device)) in chunk.into_iter().enumerate() {
-        if let Some((outcome, score, rsd)) = restored.get(&index) {
-            results[slot] = Some(DeviceRun {
-                outcome: outcome.clone(),
-                score: *score,
-                rsd: *rsd,
-                fresh: false,
-                failures: Vec::new(),
-            });
-        } else if batch_admissible(cfg, index, fleet) {
-            lane_slots.push((slot, index, device.clone()));
-            lanes.push(device);
-        } else {
-            results[slot] = Some(supervise_device(cfg, index, fleet, &device));
-        }
-    }
-
-    if !lanes.is_empty() {
-        let sessions = run_cohort(cfg, lanes);
-        for ((slot, index, pristine), session) in lane_slots.into_iter().zip(sessions) {
-            results[slot] = Some(match session {
+    let admitted: Vec<bool> = chunk
+        .iter()
+        .map(|(index, _)| !restored.contains_key(index) && batch_admissible(cfg, *index, fleet))
+        .collect();
+    let lanes: Vec<Device> = chunk
+        .iter()
+        .zip(&admitted)
+        .filter(|(_, &admitted)| admitted)
+        .map(|((_, device), _)| device.clone())
+        .collect();
+    let cohort = if lanes.is_empty() {
+        Vec::new()
+    } else {
+        run_cohort(cfg, lanes)
+    };
+    let mut sessions = cohort.into_iter();
+    chunk
+        .into_iter()
+        .zip(admitted)
+        .map(|((index, device), admitted)| {
+            if let Some(run) = replayed(restored, index) {
+                return run;
+            }
+            let session = if admitted {
+                sessions.next().flatten()
+            } else {
+                None
+            };
+            match session {
                 // Admitted lanes succeed on their first attempt with zero
                 // fault reports — exactly the scalar path's clean case.
                 Some(session) => {
-                    run_from_session(pristine.label().to_owned(), session, 0, 1, Vec::new())
+                    run_from_session(device.label().to_owned(), session, 0, 1, Vec::new())
                 }
-                // Evicted: the pristine original re-runs the reference
-                // path, which reproduces whatever went wrong bit-for-bit.
-                None => supervise_device(cfg, index, fleet, &pristine),
-            });
-        }
-    }
-
-    results
-        .into_iter()
-        .map(|r| match r {
-            Some(run) => run,
-            // Unreachable: every slot is filled above. Synthesize a
-            // defensive eviction-equivalent rather than panicking a chunk.
-            None => DeviceRun {
-                outcome: SweepOutcome {
-                    device: String::new(),
-                    verdict: None,
-                    accepted: false,
-                    quarantined: 0,
-                    fault_reports: 0,
-                    error: Some("batch slot left unfilled".into()),
-                    status: crate::supervise::DeviceStatus::Failed,
-                    attempts: 1,
-                },
-                score: None,
-                rsd: None,
-                fresh: true,
-                failures: Vec::new(),
-            },
+                // Inadmissible, or evicted: the pristine original runs the
+                // reference path, which reproduces whatever went wrong
+                // bit-for-bit.
+                None => supervise_device(cfg, index, fleet, &device),
+            }
         })
         .collect()
 }
@@ -467,6 +448,7 @@ mod tests {
     use pv_faults::ALL_KINDS;
     use pv_soc::catalog;
     use pv_thermal::network::Integrator;
+    use std::collections::BTreeMap;
 
     fn fleet(n: usize) -> Vec<Device> {
         (0..n)

@@ -49,8 +49,8 @@
 //! [`crate::crowd::populate_journaled`] for the consumer.
 //!
 //! [`CancelToken`] is the cooperative-cancellation half: a SIGINT/SIGTERM
-//! handler (or a test) flips it, in-flight sessions finish their current
-//! device, journal it, and return cleanly with `complete = false`.
+//! handler (or a test) flips it, in-flight sweep chunks finish, journal
+//! their devices, and return cleanly with `complete = false`.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::crowd::SweepOutcome;
@@ -932,8 +932,8 @@ pub fn fsck_with(storage: &Storage, path: impl AsRef<Path>) -> Result<FsckReport
 
 /// Cooperative cancellation: clone it into whatever should stop, flip it
 /// from a signal handler (via [`CancelToken::from_static`]) or another
-/// thread, and long-running sweeps finish their current device, journal
-/// it, and return with `complete = false`.
+/// thread, and long-running sweeps finish their in-flight chunks, journal
+/// them, and return with `complete = false`.
 #[derive(Debug, Clone)]
 pub struct CancelToken(Flag);
 
